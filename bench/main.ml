@@ -436,7 +436,7 @@ let perf (c : Engine.Cli.config) =
       Test.make ~name:"farm-count-1e8"
         (Staged.stage (fun () ->
              ignore
-               (Core.Farm.run_inline
+               (Engine.Job.run_inline Core.Farm.job
                   {
                     Core.Farm.default with
                     events = 1e8;
@@ -457,7 +457,7 @@ let perf (c : Engine.Cli.config) =
              Engine.Telemetry.set_enabled true;
              Engine.Telemetry.reset ();
              ignore
-               (Core.Farm.run_inline ~obs:true
+               (Engine.Job.run_inline ~obs:true Core.Farm.job
                   {
                     Core.Farm.default with
                     events = 1e8;

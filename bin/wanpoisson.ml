@@ -26,15 +26,6 @@ let fmt_of_out = function
     at_exit (fun () -> close_out_noerr oc);
     Format.formatter_of_out_channel oc
 
-(* Every subcommand that takes a worker count builds its --jobs argument
-   here, so the flag names, docv and the >= 1 validation cannot diverge
-   between subcommands again. *)
-let jobs_arg ~default ~doc =
-  Arg.(value & opt int default & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let check_jobs jobs =
-  if jobs < 1 then Some "--jobs must be at least 1" else None
-
 (* ---------------- list ---------------- *)
 
 let list_cmd =
@@ -58,8 +49,9 @@ let run_cmd =
            ~doc:"Experiment id from $(b,list), or $(b,all)")
   in
   let jobs_arg =
-    jobs_arg ~default:(Engine.Pool.default_jobs ())
-      ~doc:"Worker domains for batch runs (default: one per core)"
+    Arg.(value & opt int (Engine.Pool.default_jobs ())
+         & info [ "j"; "jobs" ] ~docv:"N"
+             ~doc:"Worker domains for batch runs (default: one per core)")
   in
   let seed_arg =
     Arg.(value & opt int 0 & info [ "seed" ] ~docv:"S"
@@ -87,10 +79,8 @@ let run_cmd =
            ~doc:"Write a self-contained HTML run report to $(docv)")
   in
   let run id jobs seed out metrics trace log log_level report_html =
-    match check_jobs jobs with
-    | Some e -> `Error (false, e)
-    | None ->
-    begin
+    if jobs < 1 then `Error (false, "--jobs must be at least 1")
+    else begin
       match Engine.Log.level_of_string log_level with
       | None ->
         `Error
@@ -467,7 +457,16 @@ let hurst_cmd =
 
 (* ---------------- stream ---------------- *)
 
-let peak_rss_kb = Engine.Procstat.peak_rss_kb
+(* The stderr footer of every long-running subcommand; stdout stays
+   free of timing so it is byte-deterministic. *)
+let print_wall ?workers t0 =
+  let wall = Unix.gettimeofday () -. t0 in
+  let workers =
+    match workers with Some w -> Printf.sprintf "workers %d, " w | None -> ""
+  in
+  match Engine.Procstat.peak_rss_kb () with
+  | Some kb -> Printf.eprintf "%swall %.2f s, peak RSS %d kB\n" workers wall kb
+  | None -> Printf.eprintf "%swall %.2f s\n" workers wall
 
 let stream_cmd =
   let model_arg =
@@ -499,11 +498,6 @@ let stream_cmd =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED"
            ~doc:"Root RNG seed (default 42)")
   in
-  let jobs_arg =
-    jobs_arg ~default:1
-      ~doc:"Worker domains for sharded generation (default 1); the \
-            report is byte-identical at any value"
-  in
   let materialized_arg =
     Arg.(value & flag & info [ "materialized" ]
            ~doc:"Analyse through the array entry points (O(bins) memory) \
@@ -515,31 +509,19 @@ let stream_cmd =
                  (the octave energies are fused into the cascade either \
                  way; this is the perf bench's no-read-out baseline)")
   in
-  let run model events rate bin beta chunk seed jobs materialized no_wavelet =
-    match check_jobs jobs with
-    | Some e -> `Error (false, e)
-    | None ->
-    if events < 1. then `Error (false, "--events must be at least 1")
-    else if rate <= 0. || bin <= 0. || chunk < 1 then
-      `Error (false, "--rate, --bin and --chunk must be positive")
-    else begin
-      Engine.Par.set_extra_domains (jobs - 1);
-      let spec =
-        { Core.Streaming.model; events; rate; bin; beta; chunk; seed;
-          materialized; wavelet = not no_wavelet }
-      in
-      let t0 = Unix.gettimeofday () in
-      match Core.Streaming.run spec with
-      | exception Invalid_argument e -> `Error (false, e)
-      | result ->
-        Core.Streaming.pp Format.std_formatter spec result;
-        Format.pp_print_flush Format.std_formatter ();
-        let wall = Unix.gettimeofday () -. t0 in
-        (match peak_rss_kb () with
-         | Some kb -> Printf.eprintf "wall %.2f s, peak RSS %d kB\n" wall kb
-         | None -> Printf.eprintf "wall %.2f s\n" wall);
-        `Ok ()
-    end
+  let run model events rate bin beta chunk seed materialized no_wavelet =
+    let spec =
+      { Core.Streaming.model; events; rate; bin; beta; chunk; seed;
+        materialized; wavelet = not no_wavelet }
+    in
+    let t0 = Unix.gettimeofday () in
+    match Core.Streaming.run spec with
+    | exception Invalid_argument e -> `Error (false, e)
+    | result ->
+      Core.Streaming.pp Format.std_formatter spec result;
+      Format.pp_print_flush Format.std_formatter ();
+      print_wall t0;
+      `Ok ()
   in
   Cmd.v
     (Cmd.info "stream"
@@ -549,10 +531,27 @@ let stream_cmd =
           pyramid and R/S sinks in O(levels x chunk) memory")
     Term.(ret
             (const run $ model_arg $ events_arg $ rate_arg $ bin_arg
-             $ beta_arg $ chunk_arg $ seed_arg $ jobs_arg $ materialized_arg
+             $ beta_arg $ chunk_arg $ seed_arg $ materialized_arg
              $ no_wavelet_arg))
 
-(* ---------------- farm ---------------- *)
+(* ---------------- farm, netsim: sharded jobs ---------------- *)
+
+(* Both sharded subcommands run through the process runner at every
+   --workers. A dead or stalled worker prints the structured diagnostics
+   and exits 1 with nothing on stdout; a bad spec is a usage error. *)
+let run_job job options spec k =
+  Engine.Log.set_enabled true;
+  Engine.Log.reset ();
+  match Engine.Job.run job ~exe:Sys.executable_name options spec with
+  | exception Invalid_argument e -> `Error (false, e)
+  | Error e ->
+    List.iter
+      (fun ev -> Format.eprintf "%a@." Engine.Log.pp_event ev)
+      (Engine.Log.warnings ());
+    Engine.Log.close_file ();
+    Printf.eprintf "%s failed: %s\n%!" job.Engine.Job.name e;
+    exit 1
+  | Ok (result, obs) -> k result obs
 
 let farm_cmd =
   let model_arg =
@@ -635,130 +634,105 @@ let farm_cmd =
                  worker heartbeats; stdout is unaffected")
   in
   let heartbeat_arg =
-    Arg.(value & opt float Core.Farm.default.Core.Farm.heartbeat_s
+    Arg.(value & opt float Engine.Job.default_options.heartbeat_s
          & info [ "heartbeat" ] ~docv:"SECONDS"
              ~doc:"Worker heartbeat period (0 disables; default 1)")
   in
   let stall_timeout_arg =
-    Arg.(value & opt float Core.Farm.default.Core.Farm.stall_timeout_s
+    Arg.(value & opt float Engine.Job.default_options.stall_timeout_s
          & info [ "stall-timeout" ] ~docv:"SECONDS"
              ~doc:"Declare a worker stalled after this long without any \
                    frame, log $(b,farm.worker_stalled), SIGKILL it and \
                    fail the run (0 disables; default 30)")
   in
   let run model events rate bin chunk seed workers shards inject_crash
-      inject_stall metrics trace log out progress heartbeat stall_timeout =
-    if workers < 1 then `Error (false, "--workers must be at least 1")
-    else begin
-      (* Fail before any worker spawns, naming the offending path. *)
+      inject_stall metrics trace log out progress heartbeat_s stall_timeout_s =
+    (* Fail before any worker spawns, naming the offending path. *)
+    List.iter
+      (Option.iter (fun path ->
+           match check_writable_file path with
+           | Ok () -> ()
+           | Error msg ->
+             prerr_endline msg;
+             exit 2))
+      [ trace; log; out ];
+    Option.iter
+      (fun path ->
+        match Engine.Log.open_file path with
+        | Ok () -> ()
+        | Error msg ->
+          prerr_endline ("cannot write " ^ msg);
+          exit 2)
+      log;
+    if metrics || trace <> None then begin
+      Engine.Telemetry.set_enabled true;
+      Engine.Telemetry.reset ()
+    end;
+    let spec =
+      { Core.Farm.default with model; events; rate; bin; chunk; seed; shards }
+    in
+    let options =
+      { Engine.Job.workers; heartbeat_s; stall_timeout_s; metrics;
+        trace = trace <> None; logs = log <> None; progress; inject_crash;
+        inject_stall }
+    in
+    let t0 = Unix.gettimeofday () in
+    run_job Core.Farm.job options spec @@ fun result (obs : Engine.Job.obs) ->
+    (* Render once: the same bytes go to stdout and, hashed, into the
+       manifest — byte-identical at any worker count. *)
+    let report = Format.asprintf "%a" (fun fmt () -> Core.Farm.pp fmt spec result) () in
+    print_string report;
+    flush stdout;
+    let wall = Unix.gettimeofday () -. t0 in
+    if metrics then begin
+      Engine.Telemetry.pp_summary Format.err_formatter;
       List.iter
-        (Option.iter (fun path ->
-             match check_writable_file path with
-             | Ok () -> ()
-             | Error msg ->
-               prerr_endline msg;
-               exit 2))
-        [ trace; log; out ];
-      Engine.Log.set_enabled true;
-      Engine.Log.reset ();
-      Option.iter
-        (fun path ->
-          match Engine.Log.open_file path with
-          | Ok () -> ()
-          | Error msg ->
-            prerr_endline ("cannot write " ^ msg);
-            exit 2)
-        log;
-      if metrics || trace <> None then begin
-        Engine.Telemetry.set_enabled true;
-        Engine.Telemetry.reset ()
-      end;
-      let spec =
-        { Core.Farm.default with
-          model; events; rate; bin; chunk; seed; workers; shards;
-          inject_crash; inject_stall; metrics; trace = trace <> None;
-          logs = log <> None; heartbeat_s = heartbeat;
-          stall_timeout_s = stall_timeout; progress }
-      in
-      let t0 = Unix.gettimeofday () in
-      match Core.Farm.run ~exe:Sys.executable_name spec with
-      | exception Invalid_argument e -> `Error (false, e)
-      | Error e ->
-        List.iter
-          (fun ev -> Format.eprintf "%a@." Engine.Log.pp_event ev)
-          (Engine.Log.warnings ());
-        Engine.Log.close_file ();
-        Printf.eprintf "farm failed: %s\n%!" e;
-        exit 1
-      | Ok (result, obs) ->
-        (* Render once: the same bytes go to stdout and, hashed, into
-           the manifest — byte-identical at any worker count. *)
-        let report =
-          Format.asprintf "%a"
-            (fun fmt () -> Core.Farm.pp fmt spec result)
-            ()
+        (fun (w : Engine.Job.worker_report) ->
+          Printf.eprintf
+            "  worker %d: %s%s, %d events, %d shards, %.2f s, rss %d kB\n"
+            w.w_index w.w_status
+            (if w.w_stalled then " (stalled)" else "")
+            w.w_events w.w_units w.w_wall_s w.w_rss_kb)
+        obs.o_workers;
+      flush stderr
+    end;
+    Option.iter
+      (fun path ->
+        let oc = open_out path in
+        Fun.protect
+          ~finally:(fun () -> close_out_noerr oc)
+          (fun () ->
+            output_string oc
+              (Engine.Telemetry.to_chrome_trace_multi
+                 (Engine.Job.trace_processes obs)));
+        Printf.eprintf "chrome trace written to %s\n%!" path)
+      trace;
+    Option.iter
+      (fun path ->
+        let farm_workers =
+          List.map
+            (fun (w : Engine.Job.worker_report) ->
+              { Engine.Manifest.wk_index = w.w_index; wk_status = w.w_status;
+                wk_events = w.w_events; wk_shards = w.w_units;
+                wk_wall_s = w.w_wall_s; wk_rss_kb = w.w_rss_kb;
+                wk_stalled = w.w_stalled })
+            obs.o_workers
         in
-        print_string report;
-        flush stdout;
-        let wall = Unix.gettimeofday () -. t0 in
-        if metrics then begin
-          Engine.Telemetry.pp_summary Format.err_formatter;
-          List.iter
-            (fun (w : Core.Farm.worker_report) ->
-              Printf.eprintf
-                "  worker %d: %s%s, %d events, %d shards, %.2f s, rss %d kB\n"
-                w.Core.Farm.w_index w.Core.Farm.w_status
-                (if w.Core.Farm.w_stalled then " (stalled)" else "")
-                w.Core.Farm.w_events w.Core.Farm.w_shards w.Core.Farm.w_wall_s
-                w.Core.Farm.w_rss_kb)
-            obs.Core.Farm.o_workers;
-          flush stderr
-        end;
-        Option.iter
-          (fun path ->
-            let oc = open_out path in
-            Fun.protect
-              ~finally:(fun () -> close_out_noerr oc)
-              (fun () ->
-                output_string oc
-                  (Engine.Telemetry.to_chrome_trace_multi
-                     (Core.Farm.trace_processes obs)));
-            Printf.eprintf "chrome trace written to %s\n%!" path)
-          trace;
-        Option.iter
-          (fun path ->
-            let farm_workers =
-              List.map
-                (fun (w : Core.Farm.worker_report) ->
-                  { Engine.Manifest.wk_index = w.Core.Farm.w_index;
-                    wk_status = w.Core.Farm.w_status;
-                    wk_events = w.Core.Farm.w_events;
-                    wk_shards = w.Core.Farm.w_shards;
-                    wk_wall_s = w.Core.Farm.w_wall_s;
-                    wk_rss_kb = w.Core.Farm.w_rss_kb;
-                    wk_stalled = w.Core.Farm.w_stalled })
-                obs.Core.Farm.o_workers
-            in
-            let art =
-              { Engine.Artifact.id = "farm"; title = "farm report";
-                text = report; figures = []; duration_s = wall; metrics = [] }
-            in
-            let manifest =
-              Engine.Manifest.of_run ~farm_workers
-                ~created_at:(Unix.gettimeofday ()) ~seed ~jobs:workers
-                ~total_s:wall [ art ]
-            in
-            Engine.Manifest.write ~path manifest;
-            Printf.eprintf "manifest written to %s\n%!" path)
-          out;
-        Engine.Log.close_file ();
-        (match peak_rss_kb () with
-         | Some kb ->
-           Printf.eprintf "workers %d, wall %.2f s, peak RSS %d kB\n" workers
-             wall kb
-         | None -> Printf.eprintf "workers %d, wall %.2f s\n" workers wall);
-        `Ok ()
-    end
+        let art =
+          { Engine.Artifact.id = "farm"; title = "farm report";
+            text = report; figures = []; duration_s = wall; metrics = [] }
+        in
+        let manifest =
+          Engine.Manifest.of_run ~farm_workers
+            ~created_at:(Unix.gettimeofday ()) ~seed ~jobs:workers
+            ~total_s:wall [ art ]
+        in
+        Engine.Manifest.write ~path manifest;
+        Printf.eprintf "manifest written to %s\n%!" path)
+      out;
+    Engine.Log.close_file ();
+    print_wall ~workers t0;
+    `Ok ()
   in
   Cmd.v
     (Cmd.info "farm"
@@ -860,42 +834,22 @@ let netsim_cmd =
   let workers_arg =
     Arg.(value & opt int 1
          & info [ "w"; "workers" ] ~docv:"N"
-             ~doc:"Worker processes (default 1; 1 runs in-process)")
+             ~doc:"Worker processes (default 1); each heartbeats and is \
+                   SIGKILLed after 30 s of silence, failing the run")
   in
   let run model events replicas sources beta mean_period on_rate rate load
       topology discipline buffer chunk seed workers =
     let spec =
       { Core.Netsim.model; events; replicas; sources; beta; mean_period;
-        on_rate; rate; load; topology; discipline; buffer; chunk; seed;
-        workers }
+        on_rate; rate; load; topology; discipline; buffer; chunk; seed }
     in
     let t0 = Unix.gettimeofday () in
-    let result =
-      if workers <= 1 then
-        match Core.Netsim.run_inline spec with
-        | r -> Ok r
-        | exception Invalid_argument e -> Error (`Spec e)
-      else
-        match Core.Netsim.run ~exe:Sys.executable_name spec with
-        | Ok r -> Ok r
-        | Error e -> Error (`Run e)
-        | exception Invalid_argument e -> Error (`Spec e)
-    in
-    match result with
-    | Error (`Spec e) -> `Error (false, e)
-    | Error (`Run e) ->
-      Printf.eprintf "netsim failed: %s\n%!" e;
-      exit 1
-    | Ok r ->
-      Core.Netsim.pp Format.std_formatter spec r;
-      Format.pp_print_flush Format.std_formatter ();
-      let wall = Unix.gettimeofday () -. t0 in
-      (match peak_rss_kb () with
-       | Some kb ->
-         Printf.eprintf "workers %d, wall %.2f s, peak RSS %d kB\n" workers
-           wall kb
-       | None -> Printf.eprintf "workers %d, wall %.2f s\n" workers wall);
-      `Ok ()
+    run_job Core.Netsim.job { Engine.Job.default_options with workers } spec
+    @@ fun result _ ->
+    Core.Netsim.pp Format.std_formatter spec result;
+    Format.pp_print_flush Format.std_formatter ();
+    print_wall ~workers t0;
+    `Ok ()
   in
   Cmd.v
     (Cmd.info "netsim"
@@ -1035,10 +989,7 @@ let serve_cmd =
           Engine.Log.close_file ();
           Engine.Log.set_enabled false;
           ignore summary;
-          let wall = Unix.gettimeofday () -. t0 in
-          (match peak_rss_kb () with
-           | Some kb -> Printf.eprintf "wall %.2f s, peak RSS %d kB\n" wall kb
-           | None -> Printf.eprintf "wall %.2f s\n" wall);
+          print_wall t0;
           `Ok ())
     end
   in
@@ -1141,13 +1092,14 @@ let verify_manifest_cmd =
     Term.(ret (const run $ a_arg $ b_arg))
 
 let () =
-  (* Hidden farm-worker entry: process plumbing, not CLI surface, so it
-     is dispatched before Cmdliner ever sees argv. The single argument
-     is the JSON spec the coordinator serialized. *)
-  if Array.length Sys.argv >= 3 && Sys.argv.(1) = "farm-worker" then
-    exit (Core.Farm.worker_entry Sys.argv.(2));
-  if Array.length Sys.argv >= 3 && Sys.argv.(1) = "netsim-worker" then
-    exit (Core.Netsim.worker_entry Sys.argv.(2));
+  (* Hidden job-worker entry: process plumbing, not CLI surface, so it
+     is dispatched before Cmdliner ever sees argv. The arguments are the
+     job name and the JSON spec the coordinator serialized. *)
+  if Array.length Sys.argv >= 4 && Sys.argv.(1) = "job-worker" then
+    exit
+      (Engine.Job.worker_entry
+         [ Engine.Job.Any Core.Farm.job; Engine.Job.Any Core.Netsim.job ]
+         Sys.argv.(2) Sys.argv.(3));
   let info =
     Cmd.info "wanpoisson" ~version:(Engine.Build_info.describe ())
       ~doc:

@@ -7,10 +7,10 @@
    a cut point has no closed form, so the netsim unit of distribution
    is a whole REPLICA — an independent simulation under its own
    derive_rng stream, keyed by absolute replica index exactly like the
-   PR-5/PR-7 task discipline. Worker w owns the replicas congruent to
-   w mod workers; the coordinator merges partials in replica-index
-   order (sketch merges, count sums, max folds — all order-fixed), so
-   stdout is byte-identical at any --workers. *)
+   PR-5/PR-7 task discipline. Engine.Job runs the replicas: worker w
+   owns those congruent to w mod workers, and the merge folds partials
+   in replica-index order (sketch merges, count sums, max folds — all
+   order-fixed), so stdout is byte-identical at any --workers. *)
 
 type spec = {
   model : string;  (* "onoff" | "poisson" *)
@@ -27,7 +27,6 @@ type spec = {
   buffer : int;
   chunk : int;
   seed : int;
-  workers : int;
 }
 
 let default =
@@ -46,7 +45,6 @@ let default =
     buffer = 64;
     chunk = 65536;
     seed = 42;
-    workers = 1;
   }
 
 (* All replica sketches and the coordinator's merge targets share one
@@ -102,8 +100,6 @@ let plan spec =
     invalid_arg "netsim: events must be in [1, 1e12]";
   if spec.replicas < 1 || spec.replicas > 4096 then
     invalid_arg "netsim: replicas must be in [1, 4096]";
-  if spec.workers < 1 || spec.workers > 1024 then
-    invalid_arg "netsim: workers must be in [1, 1024]";
   if spec.chunk < 256 || spec.chunk > 1 lsl 24 then
     invalid_arg "netsim: chunk must be in [256, 2^24]";
   if spec.buffer < 0 || spec.buffer > 1_000_000 then
@@ -113,13 +109,13 @@ let plan spec =
       invalid_arg "netsim: sources must be in [1, 1e6]";
     if not (spec.beta > 1. && spec.beta <= 10.) then
       invalid_arg "netsim: beta must be in (1, 10]";
-    if not (spec.mean_period > 0.) then
-      invalid_arg "netsim: mean-period must be positive";
-    if not (spec.on_rate > 0.) then
-      invalid_arg "netsim: on-rate must be positive"
+    if not (Float.is_finite spec.mean_period && spec.mean_period > 0.) then
+      invalid_arg "netsim: mean-period must be finite and positive";
+    if not (Float.is_finite spec.on_rate && spec.on_rate > 0.) then
+      invalid_arg "netsim: on-rate must be finite and positive"
   end
-  else if not (spec.rate > 0.) then
-    invalid_arg "netsim: rate must be positive";
+  else if not (Float.is_finite spec.rate && spec.rate > 0.) then
+    invalid_arg "netsim: rate must be finite and positive";
   if not (spec.load > 0. && spec.load <= 4.) then
     invalid_arg "netsim: load must be in (0, 4]";
   let lambda =
@@ -137,17 +133,22 @@ let plan spec =
 
 (* ---------------- per-replica simulation ---------------- *)
 
+(* One traffic class on one link of one replica. *)
+type class_part = {
+  cp_served : int;
+  cp_dropped : int;
+  cp_sum_wait : float;
+  cp_max_wait : float;
+  cp_sketch : Stats.Quantile_sketch.t;
+}
+
 type link_part = {
   lp_util : float;
   lp_hash : int;
-  lp_served : int array;  (* per class, length 2 *)
-  lp_dropped : int array;
-  lp_sum_wait : float array;
-  lp_max_wait : float array;
-  lp_sketch : Stats.Quantile_sketch.t array;
+  lp_classes : class_part array;  (* length 2 *)
 }
 
-type partial = { q_index : int; q_events : int; q_links : link_part array }
+type partial = { q_events : int; q_links : link_part array }
 
 (* Replica r's traffic stream is keyed by its absolute index — the
    netsim analogue of the farm's "farm#shard#window" keying — so the
@@ -156,7 +157,7 @@ type partial = { q_index : int; q_events : int; q_links : link_part array }
 let replica_rng spec r =
   Engine.Task.derive_rng ~seed:spec.seed (Printf.sprintf "netsim#%d" r)
 
-let compute_replica ~spec ~(plan : plan) r =
+let compute_replica ~spec ~(plan : plan) ~tick r =
   let rng = replica_rng spec r in
   let net =
     Queueing.Network.create ~sketch_accuracy
@@ -176,7 +177,8 @@ let compute_replica ~spec ~(plan : plan) r =
     Traffic.Superpose.iter ~chunk:spec.chunk ~sources ~horizon:plan.horizon
       rng (fun times srcs len ->
         Queueing.Network.push_chunk net ~times ~srcs ~pos:0 ~len;
-        events := !events + len)
+        events := !events + len;
+        tick ~events:!events)
   | _ ->
     (* Poisson packets take their global sequence index as source id:
        classes alternate and fan-in ingress round-robins, chunk-size
@@ -192,7 +194,8 @@ let compute_replica ~spec ~(plan : plan) r =
           s.(j) <- base + j
         done;
         Queueing.Network.push_chunk net ~times ~srcs:s ~pos:0 ~len;
-        events := !events + len));
+        events := !events + len;
+        tick ~events:!events));
   let stats = Queueing.Network.finish net in
   let q_links =
     Array.map
@@ -200,125 +203,63 @@ let compute_replica ~spec ~(plan : plan) r =
         {
           lp_util = l.utilization;
           lp_hash = l.drop_hash;
-          lp_served =
-            Array.map (fun (c : Queueing.Network.class_stats) -> c.served)
-              l.classes;
-          lp_dropped =
-            Array.map (fun (c : Queueing.Network.class_stats) -> c.dropped)
-              l.classes;
-          lp_sum_wait =
+          lp_classes =
             Array.map
               (fun (c : Queueing.Network.class_stats) ->
-                c.mean_wait *. float_of_int c.served)
-              l.classes;
-          lp_max_wait =
-            Array.map (fun (c : Queueing.Network.class_stats) -> c.max_wait)
-              l.classes;
-          lp_sketch =
-            Array.map (fun (c : Queueing.Network.class_stats) -> c.sketch)
+                {
+                  cp_served = c.served;
+                  cp_dropped = c.dropped;
+                  cp_sum_wait = c.mean_wait *. float_of_int c.served;
+                  cp_max_wait = c.max_wait;
+                  cp_sketch = c.sketch;
+                })
               l.classes;
         })
       stats
   in
-  { q_index = r; q_events = !events; q_links }
+  { q_events = !events; q_links }
 
-(* ---------------- frame payloads ---------------- *)
+(* ---------------- partial codec ---------------- *)
 
-(* Farm reserves kinds 1-5; the replica partial — the "kind-5-style"
-   sketch partial of the netsim protocol — is kind 6. The done frame
-   reuses farm's kind 4 layout so Engine.Farm's is_final plumbing is
-   identical. *)
-let kind_done = 4
-let kind_replica = 6
-
-let replica_frame p =
-  let b = Buffer.create 512 in
-  Engine.Frame.Wr.u32 b p.q_index;
-  Engine.Frame.Wr.i64 b p.q_events;
-  Engine.Frame.Wr.u16 b (Array.length p.q_links);
+let encode b p =
+  let open Engine.Frame.Wr in
+  i64 b p.q_events;
+  u16 b (Array.length p.q_links);
   Array.iter
     (fun lp ->
-      Engine.Frame.Wr.f64 b lp.lp_util;
-      Engine.Frame.Wr.i64 b lp.lp_hash;
-      for c = 0 to 1 do
-        Engine.Frame.Wr.i64 b lp.lp_served.(c);
-        Engine.Frame.Wr.i64 b lp.lp_dropped.(c);
-        Engine.Frame.Wr.f64 b lp.lp_sum_wait.(c);
-        Engine.Frame.Wr.f64 b lp.lp_max_wait.(c);
-        Engine.Frame.Wr.str b
-          (Stats.Quantile_sketch.to_string lp.lp_sketch.(c))
-      done)
-    p.q_links;
-  { Engine.Frame.kind = kind_replica; payload = Buffer.contents b }
+      f64 b lp.lp_util;
+      i64 b lp.lp_hash;
+      Array.iter
+        (fun cp ->
+          i64 b cp.cp_served;
+          i64 b cp.cp_dropped;
+          f64 b cp.cp_sum_wait;
+          f64 b cp.cp_max_wait;
+          blob b (Stats.Quantile_sketch.to_string cp.cp_sketch))
+        lp.lp_classes)
+    p.q_links
 
-let done_frame ~replicas ~events ~wall_s ~rss_kb =
-  let b = Buffer.create 32 in
-  Engine.Frame.Wr.u32 b replicas;
-  Engine.Frame.Wr.i64 b events;
-  Engine.Frame.Wr.f64 b wall_s;
-  Engine.Frame.Wr.i64 b rss_kb;
-  { Engine.Frame.kind = kind_done; payload = Buffer.contents b }
-
-type decoded =
-  | D_replica of partial
-  | D_done of int * int * float * int  (* replicas, events, wall_s, rss_kb *)
-
-let decode_frame (f : Engine.Frame.t) =
+let decode c =
   let open Engine.Frame.Rd in
-  match
-    let c = of_string f.payload in
-    if f.kind = kind_replica then begin
-      let q_index = u32 c in
-      let q_events = i64 c in
-      let n_links = u16 c in
-      if n_links < 1 || n_links > 8 then
-        raise (Malformed "replica frame: bad link count");
-      let q_links =
-        Array.init n_links (fun _ ->
-            let lp_util = f64 c in
-            let lp_hash = i64 c in
-            let served = Array.make 2 0
-            and dropped = Array.make 2 0
-            and sum_wait = Array.make 2 0.
-            and max_wait = Array.make 2 0.
-            and sketch =
-              Array.init 2 (fun _ ->
-                  Stats.Quantile_sketch.create ~accuracy:sketch_accuracy ())
-            in
-            for cl = 0 to 1 do
-              served.(cl) <- i64 c;
-              dropped.(cl) <- i64 c;
-              sum_wait.(cl) <- f64 c;
-              max_wait.(cl) <- f64 c;
-              match Stats.Quantile_sketch.of_string (str c) with
-              | Ok s -> sketch.(cl) <- s
-              | Error e -> raise (Malformed e)
-            done;
-            {
-              lp_util;
-              lp_hash;
-              lp_served = served;
-              lp_dropped = dropped;
-              lp_sum_wait = sum_wait;
-              lp_max_wait = max_wait;
-              lp_sketch = sketch;
-            })
-      in
-      if not (at_end c) then
-        raise (Malformed "trailing bytes in replica frame");
-      D_replica { q_index; q_events; q_links }
-    end
-    else if f.kind = kind_done then begin
-      let replicas = u32 c in
-      let events = i64 c in
-      let wall = f64 c in
-      let rss = i64 c in
-      D_done (replicas, events, wall, rss)
-    end
-    else raise (Malformed (Printf.sprintf "unknown frame kind %d" f.kind))
-  with
-  | d -> Ok d
-  | exception Malformed m -> Error m
+  let q_events = i64 c in
+  let n_links = u16 c in
+  if n_links < 1 || n_links > 8 then raise (Malformed "bad link count");
+  let class_part _ =
+    let cp_served = i64 c in
+    let cp_dropped = i64 c in
+    let cp_sum_wait = f64 c in
+    let cp_max_wait = f64 c in
+    match Stats.Quantile_sketch.of_string (blob c) with
+    | Ok cp_sketch ->
+      { cp_served; cp_dropped; cp_sum_wait; cp_max_wait; cp_sketch }
+    | Error e -> raise (Malformed e)
+  in
+  let link_part _ =
+    let lp_util = f64 c in
+    let lp_hash = i64 c in
+    { lp_util; lp_hash; lp_classes = Array.init 2 class_part }
+  in
+  { q_events; q_links = Array.init n_links link_part }
 
 (* ---------------- coordinator merge ---------------- *)
 
@@ -347,224 +288,113 @@ type result = { total_events : int; links : merged_link array }
    right over that fixed order, so the result — and the printed report
    — is bit-identical at any worker count. *)
 let merge_parts ~(plan : plan) (parts : partial array) =
-  let n = Array.length parts in
-  let total_events = ref 0 in
-  Array.iter (fun p -> total_events := !total_events + p.q_events) parts;
-  let links =
-    Array.init plan.n_links (fun l ->
-        let util = ref 0. and hash = ref 0x811c9dc5 in
-        let served = Array.make 2 0
-        and dropped = Array.make 2 0
-        and sum_wait = Array.make 2 0.
-        and max_wait = Array.make 2 0. in
-        let sketch =
-          Array.init 2 (fun _ ->
-              Stats.Quantile_sketch.create ~accuracy:sketch_accuracy ())
-        in
-        for r = 0 to n - 1 do
-          let lp = parts.(r).q_links.(l) in
-          util := !util +. lp.lp_util;
-          hash := ((!hash * 0x01000193) lxor lp.lp_hash) land max_int;
-          for c = 0 to 1 do
-            served.(c) <- served.(c) + lp.lp_served.(c);
-            dropped.(c) <- dropped.(c) + lp.lp_dropped.(c);
-            sum_wait.(c) <- sum_wait.(c) +. lp.lp_sum_wait.(c);
-            if lp.lp_max_wait.(c) > max_wait.(c) then
-              max_wait.(c) <- lp.lp_max_wait.(c);
-            Stats.Quantile_sketch.merge_into sketch.(c) lp.lp_sketch.(c)
-          done
-        done;
-        let classes =
-          Array.init 2 (fun c ->
-              let offered = served.(c) + dropped.(c) in
-              let q =
-                if Stats.Quantile_sketch.count sketch.(c) = 0 then
-                  fun _ -> 0.
-                else Stats.Quantile_sketch.quantile sketch.(c)
-              in
-              {
-                c_served = served.(c);
-                c_dropped = dropped.(c);
-                c_loss =
-                  (if offered = 0 then 0.
-                   else float_of_int dropped.(c) /. float_of_int offered);
-                c_mean_wait =
-                  (if served.(c) = 0 then 0.
-                   else sum_wait.(c) /. float_of_int served.(c));
-                c_max_wait = max_wait.(c);
-                c_p50 = q 0.5;
-                c_p99 = q 0.99;
-                c_p999 = q 0.999;
-                c_sketch = sketch.(c);
-              })
-        in
-        {
-          m_util = !util /. float_of_int n;
-          m_hash = !hash;
-          m_classes = classes;
-        })
+  let link l =
+    let lps = Array.map (fun p -> p.q_links.(l)) parts in
+    let merge_class c =
+      let served = ref 0 and dropped = ref 0 in
+      let sum_wait = ref 0. and max_wait = ref 0. in
+      let sketch = Stats.Quantile_sketch.create ~accuracy:sketch_accuracy () in
+      Array.iter
+        (fun lp ->
+          let cp = lp.lp_classes.(c) in
+          served := !served + cp.cp_served;
+          dropped := !dropped + cp.cp_dropped;
+          sum_wait := !sum_wait +. cp.cp_sum_wait;
+          if cp.cp_max_wait > !max_wait then max_wait := cp.cp_max_wait;
+          Stats.Quantile_sketch.merge_into sketch cp.cp_sketch)
+        lps;
+      let offered = !served + !dropped in
+      let q =
+        if Stats.Quantile_sketch.count sketch = 0 then fun _ -> 0.
+        else Stats.Quantile_sketch.quantile sketch
+      in
+      {
+        c_served = !served;
+        c_dropped = !dropped;
+        c_loss =
+          (if offered = 0 then 0.
+           else float_of_int !dropped /. float_of_int offered);
+        c_mean_wait =
+          (if !served = 0 then 0. else !sum_wait /. float_of_int !served);
+        c_max_wait = !max_wait;
+        c_p50 = q 0.5;
+        c_p99 = q 0.99;
+        c_p999 = q 0.999;
+        c_sketch = sketch;
+      }
+    in
+    {
+      m_util =
+        Array.fold_left (fun u lp -> u +. lp.lp_util) 0. lps
+        /. float_of_int (Array.length parts);
+      m_hash =
+        Array.fold_left
+          (fun h lp -> ((h * 0x01000193) lxor lp.lp_hash) land max_int)
+          0x811c9dc5 lps;
+      m_classes = Array.init 2 merge_class;
+    }
   in
-  { total_events = !total_events; links }
+  {
+    total_events = Array.fold_left (fun n p -> n + p.q_events) 0 parts;
+    links = Array.init plan.n_links link;
+  }
 
-(* ---------------- worker side ---------------- *)
+(* ---------------- the job ---------------- *)
 
-let spec_json_fields spec =
-  [
-    ("model", Engine.Json.Str spec.model);
-    ("events", Engine.Json.Float spec.events);
-    ("replicas", Engine.Json.Int spec.replicas);
-    ("sources", Engine.Json.Int spec.sources);
-    ("beta", Engine.Json.Float spec.beta);
-    ("mean_period", Engine.Json.Float spec.mean_period);
-    ("on_rate", Engine.Json.Float spec.on_rate);
-    ("rate", Engine.Json.Float spec.rate);
-    ("load", Engine.Json.Float spec.load);
-    ("topology", Engine.Json.Str spec.topology);
-    ("discipline", Engine.Json.Str spec.discipline);
-    ("buffer", Engine.Json.Int spec.buffer);
-    ("chunk", Engine.Json.Int spec.chunk);
-    ("seed", Engine.Json.Int spec.seed);
-    ("workers", Engine.Json.Int spec.workers);
-  ]
+let spec_to_json spec =
+  Engine.Json.Obj
+    [
+      ("model", Engine.Json.Str spec.model);
+      ("events", Engine.Json.Float spec.events);
+      ("replicas", Engine.Json.Int spec.replicas);
+      ("sources", Engine.Json.Int spec.sources);
+      ("beta", Engine.Json.Float spec.beta);
+      ("mean_period", Engine.Json.Float spec.mean_period);
+      ("on_rate", Engine.Json.Float spec.on_rate);
+      ("rate", Engine.Json.Float spec.rate);
+      ("load", Engine.Json.Float spec.load);
+      ("topology", Engine.Json.Str spec.topology);
+      ("discipline", Engine.Json.Str spec.discipline);
+      ("buffer", Engine.Json.Int spec.buffer);
+      ("chunk", Engine.Json.Int spec.chunk);
+      ("seed", Engine.Json.Int spec.seed);
+    ]
 
-let worker_arg spec ~index =
-  Engine.Json.to_string
-    (Engine.Json.Obj (("index", Engine.Json.Int index) :: spec_json_fields spec))
+let spec_of_json j =
+  let int k = Option.bind (Engine.Json.member k j) Engine.Json.to_int_opt in
+  let flt k = Option.bind (Engine.Json.member k j) Engine.Json.to_float_opt in
+  let str k = Option.bind (Engine.Json.member k j) Engine.Json.to_str_opt in
+  match
+    ( (str "model", flt "events", int "replicas", int "sources", flt "beta"),
+      (flt "mean_period", flt "on_rate", flt "rate", flt "load"),
+      (str "topology", str "discipline", int "buffer", int "chunk", int "seed") )
+  with
+  | ( (Some model, Some events, Some replicas, Some sources, Some beta),
+      (Some mean_period, Some on_rate, Some rate, Some load),
+      (Some topology, Some discipline, Some buffer, Some chunk, Some seed) ) ->
+    Ok
+      { model; events; replicas; sources; beta; mean_period; on_rate; rate;
+        load; topology; discipline; buffer; chunk; seed }
+  | _ -> Error "bad netsim spec: missing field"
 
-let spec_of_json json =
-  match Engine.Json.parse json with
-  | Error e -> Error ("bad worker spec: " ^ e)
-  | Ok j -> (
-    let int k = Option.bind (Engine.Json.member k j) Engine.Json.to_int_opt in
-    let flt k = Option.bind (Engine.Json.member k j) Engine.Json.to_float_opt in
-    let str k = Option.bind (Engine.Json.member k j) Engine.Json.to_str_opt in
-    match
-      ( (str "model", flt "events", int "replicas", int "sources", flt "beta",
-         flt "mean_period", flt "on_rate", flt "rate"),
-        (flt "load", str "topology", str "discipline", int "buffer",
-         int "chunk", int "seed", int "workers", int "index") )
-    with
-    | ( ( Some model, Some events, Some replicas, Some sources, Some beta,
-          Some mean_period, Some on_rate, Some rate ),
-        ( Some load, Some topology, Some discipline, Some buffer, Some chunk,
-          Some seed, Some workers, Some index ) ) ->
-      Ok
-        ( { model; events; replicas; sources; beta; mean_period; on_rate;
-            rate; load; topology; discipline; buffer; chunk; seed; workers },
-          index )
-    | _ -> Error "bad worker spec: missing field")
-
-let worker_entry json =
-  match spec_of_json json with
-  | Error e ->
-    prerr_endline ("netsim-worker: " ^ e);
-    2
-  | Ok (spec, index) -> (
-    match plan spec with
-    | exception Invalid_argument e ->
-      prerr_endline ("netsim-worker: " ^ e);
-      2
-    | plan_ -> (
-      try
-        set_binary_mode_out stdout true;
-        let t0 = Unix.gettimeofday () in
-        let done_ = ref 0 and events = ref 0 in
-        let r = ref index in
-        while !r < spec.replicas do
-          let part = compute_replica ~spec ~plan:plan_ !r in
-          output_string stdout (Engine.Frame.encode (replica_frame part));
-          flush stdout;
-          incr done_;
-          events := !events + part.q_events;
-          r := !r + spec.workers
-        done;
-        output_string stdout
-          (Engine.Frame.encode
-             (done_frame ~replicas:!done_ ~events:!events
-                ~wall_s:(Unix.gettimeofday () -. t0)
-                ~rss_kb:
-                  (match Engine.Procstat.peak_rss_kb () with
-                  | Some kb -> kb
-                  | None -> -1)));
-        flush stdout;
-        0
-      with e ->
-        Printf.eprintf "netsim-worker %d: %s\n%!" index (Printexc.to_string e);
-        3))
-
-(* ---------------- coordinator side ---------------- *)
-
-let absorb_worker ~spec ~parts (o : Engine.Farm.outcome) =
-  let err = ref None in
-  let note_err m = if !err = None then err := Some m in
-  List.iter
-    (fun f ->
-      if !err = None then
-        match decode_frame f with
-        | Error m -> note_err m
-        | Ok (D_replica p) ->
-          if p.q_index < 0 || p.q_index >= spec.replicas then
-            note_err "replica index out of range"
-          else if parts.(p.q_index) <> None then
-            note_err (Printf.sprintf "replica %d shipped twice" p.q_index)
-          else parts.(p.q_index) <- Some p
-        | Ok (D_done _) -> ())
-    o.frames;
-  if !err = None && not (Engine.Farm.ok o) then
-    note_err
-      (match o.failure with
-      | Some m -> m
-      | None -> Engine.Farm.status_to_string o.status);
-  match !err with
-  | None -> []
-  | Some reason ->
-    [ Printf.sprintf "worker %d (pid %d) %s: %s" o.index o.pid
-        (if o.stalled then "stalled" else "died")
-        reason ]
-
-let run ~exe spec =
-  let plan_ = plan spec in
-  let outcomes =
-    Engine.Farm.run ~exe
-      ~argv:(fun i -> [| exe; "netsim-worker"; worker_arg spec ~index:i |])
-      ~workers:spec.workers
-      ~is_final:(fun f -> f.Engine.Frame.kind = kind_done)
-      ()
-  in
-  let parts = Array.make spec.replicas None in
-  let failures =
-    List.concat_map (absorb_worker ~spec ~parts) outcomes
-  in
-  if failures <> [] then Error (String.concat "; " failures)
-  else begin
-    let missing = ref [] in
-    Array.iteri (fun i p -> if p = None then missing := i :: !missing) parts;
-    match !missing with
-    | _ :: _ ->
-      Error
-        (Printf.sprintf "missing replica%s %s"
-           (if List.length !missing > 1 then "s" else "")
-           (String.concat ", " (List.rev_map string_of_int !missing)))
-    | [] -> Ok (merge_parts ~plan:plan_ (Array.map Option.get parts))
-  end
-
-(* The full workers=1 computational path — replica simulation, frame
-   encode + decode, replica-order merge — without process management,
-   pinned against [run] by the tests. *)
-let run_inline spec =
-  let plan_ = plan spec in
-  let parts =
-    Array.init spec.replicas (fun r ->
-        let p = compute_replica ~spec ~plan:plan_ r in
-        match Engine.Frame.decode (Engine.Frame.encode (replica_frame p)) 0 with
-        | Ok (f, _) -> (
-          match decode_frame f with
-          | Ok (D_replica p) -> p
-          | Ok (D_done _) | Error _ ->
-            failwith "netsim inline: frame round-trip failed")
-        | Error e -> failwith (Engine.Frame.error_to_string e))
-  in
-  merge_parts ~plan:plan_ parts
+let job =
+  {
+    Engine.Job.name = "netsim";
+    unit_name = "replica";
+    units =
+      (fun spec ->
+        ignore (plan spec);
+        spec.replicas);
+    compute =
+      (fun spec ->
+        let plan = plan spec in
+        fun ~tick r -> compute_replica ~spec ~plan ~tick r);
+    encode;
+    decode;
+    merge = (fun spec parts -> merge_parts ~plan:(plan spec) parts);
+    spec_to_json;
+    spec_of_json;
+  }
 
 (* Deliberately omits the worker count and any timing: stdout must be
    byte-identical at any --workers. *)

@@ -30,7 +30,6 @@ type spec = {
   buffer : int;  (** Waiting slots per link. *)
   chunk : int;  (** Streaming chunk size. *)
   seed : int;
-  workers : int;
 }
 
 val default : spec
@@ -45,8 +44,9 @@ type plan = {
 }
 
 val plan : spec -> plan
-(** Raises [Invalid_argument] on an unsupported model, topology,
-    discipline or out-of-range field. *)
+(** Raises [Invalid_argument] naming the option on an unsupported
+    model, topology or discipline, or an out-of-range or non-finite
+    field. *)
 
 val red_of_buffer : int -> Queueing.Network.red
 (** The RED parameters [discipline = "red"] derives from the buffer
@@ -73,22 +73,15 @@ type merged_link = {
 
 type result = { total_events : int; links : merged_link array }
 
-val worker_entry : string -> int
-(** The hidden [netsim-worker] subcommand body: parse the JSON spec
-    argument (spec fields plus ["index"]), simulate the owned replicas,
-    write frames to stdout, return the exit code. Never raises. *)
+type partial
+(** One replica: per-link utilization and drop hash, per-class counts,
+    wait moments and wait sketches. *)
 
-val run : exe:string -> spec -> (result, string) Stdlib.result
-(** Coordinator: spawn [spec.workers] processes re-executing [exe] via
-    {!Engine.Farm}, drain replica partials and merge them in replica
-    order. [Error] when any worker exits abnormally, breaks its frame
-    stream, or omits a replica. Raises [Invalid_argument] only on a bad
-    spec (see {!plan}). *)
-
-val run_inline : spec -> result
-(** The same computation — replica simulation, frame encode/decode,
-    replica-order merge — in one process; produces the identical
-    [result] (workers only affect process placement, never values). *)
+val job : (spec, partial, result) Engine.Job.t
+(** Netsim as a sharded job: units are the replicas, merged in replica
+    order, with the runner's heartbeats and stall deadline. Run it with
+    {!Engine.Job.run} or {!Engine.Job.run_inline}; both give the
+    identical [result]. *)
 
 val pp : Format.formatter -> spec -> result -> unit
 (** Deterministic fixed-precision report. Deliberately omits the worker

@@ -23,12 +23,6 @@ let default =
     wavelet = true;
   }
 
-(* How many generation shards a wave materialises at once. Fixed (never
-   derived from the jobs budget) so the shard layout — and therefore the
-   byte output — is identical at any [--jobs]; [Engine.Par.map] already
-   guarantees order- and budget-independent results within a wave. *)
-let wave_width = 8
-
 type result = {
   bins : int;
   total : float;  (* events actually counted *)
@@ -94,35 +88,23 @@ let result_of ~wavelet ~levels ~n_bins (pyr, (h_rs, (total, sketch))) =
   }
 
 (* Poisson: independent per-shard event streams on bin-aligned windows,
-   generated [wave_width] shards at a time across the [Par] budget and
-   folded into the counting sink in shard order. Every shard draws from
-   [Task.derive_rng ~seed "stream#c"], so the sample path depends only on
-   (seed, rate, bin, chunk, bins) — not on scheduling. Shards are sized
-   to hold ~[chunk] expected events each, so a wave keeps
-   O(wave_width * chunk) floats in flight whatever the event density. *)
-let poisson_shard_bins ~rate ~bin ~chunk =
-  Int.max 1 (int_of_float (Float.round (float_of_int chunk /. (rate *. bin))))
-
-let poisson_shard ~seed ~rate ~bin ~shard_bins ~n_bins c =
-  let lo_bin = c * shard_bins in
-  let hi_bin = Int.min n_bins (lo_bin + shard_bins) in
-  let rng = Engine.Task.derive_rng ~seed (Printf.sprintf "stream#%d" c) in
-  let duration = float_of_int (hi_bin - lo_bin) *. bin in
-  let events = Traffic.Poisson_proc.homogeneous ~rate ~duration rng in
-  Traffic.Arrival.shift (float_of_int lo_bin *. bin) events
-
-let poisson_waves ~seed ~rate ~bin ~chunk ~n_bins f =
-  let shard_bins = poisson_shard_bins ~rate ~bin ~chunk in
-  let n_shards = (n_bins + shard_bins - 1) / shard_bins in
-  let w = ref 0 in
-  while !w < n_shards do
-    let upto = Int.min n_shards (!w + wave_width) in
-    let shards = List.init (upto - !w) (fun i -> !w + i) in
-    let pieces =
-      Engine.Par.map (poisson_shard ~seed ~rate ~bin ~shard_bins ~n_bins) shards
-    in
-    List.iter f pieces;
-    w := upto
+   generated one after another and folded into the counting sink in
+   shard order. Every shard draws from [Task.derive_rng ~seed "stream#c"],
+   so the sample path depends only on (seed, rate, bin, chunk, bins).
+   Shards are sized to hold ~[chunk] expected events each, so O(chunk)
+   floats are in flight whatever the event density. *)
+let poisson_shards ~seed ~rate ~bin ~chunk ~n_bins f =
+  let shard_bins =
+    Int.max 1 (int_of_float (Float.round (float_of_int chunk /. (rate *. bin))))
+  in
+  for c = 0 to ((n_bins + shard_bins - 1) / shard_bins) - 1 do
+    let lo_bin = c * shard_bins in
+    let hi_bin = Int.min n_bins (lo_bin + shard_bins) in
+    let rng = Engine.Task.derive_rng ~seed (Printf.sprintf "stream#%d" c) in
+    let duration = float_of_int (hi_bin - lo_bin) *. bin in
+    f
+      (Traffic.Arrival.shift (float_of_int lo_bin *. bin)
+         (Traffic.Poisson_proc.homogeneous ~rate ~duration rng))
   done
 
 let run_poisson spec =
@@ -133,8 +115,8 @@ let run_poisson spec =
   let sink =
     Timeseries.Sink.counts ~bin:spec.bin ~n_bins ~chunk:spec.chunk analysis
   in
-  poisson_waves ~seed:spec.seed ~rate:spec.rate ~bin:spec.bin ~chunk:spec.chunk
-    ~n_bins (Timeseries.Sink.push sink);
+  poisson_shards ~seed:spec.seed ~rate:spec.rate ~bin:spec.bin
+    ~chunk:spec.chunk ~n_bins (Timeseries.Sink.push sink);
   (n_bins, levels, Timeseries.Sink.finish sink)
 
 let run_counts spec iter =
@@ -191,7 +173,7 @@ let materialize spec =
           (int_of_float (Float.round (spec.events /. spec.rate /. spec.bin)))
       in
       let pieces = ref [] in
-      poisson_waves ~seed:spec.seed ~rate:spec.rate ~bin:spec.bin
+      poisson_shards ~seed:spec.seed ~rate:spec.rate ~bin:spec.bin
         ~chunk:spec.chunk ~n_bins (fun a -> pieces := a :: !pieces);
       let events = Array.concat (List.rev !pieces) in
       Timeseries.Counts.of_events ~bin:spec.bin
@@ -250,7 +232,24 @@ let materialize spec =
     resident = n_bins;
   }
 
+(* The spec boundary: NaN compares false, so every float check is
+   phrased to reject it. *)
+let validate spec =
+  let bad flag want =
+    invalid_arg (Printf.sprintf "stream: --%s must be %s" flag want)
+  in
+  if not (Float.is_finite spec.events && spec.events >= 1.) then
+    bad "events" "finite and at least 1";
+  if not (Float.is_finite spec.rate && spec.rate > 0.) then
+    bad "rate" "finite and positive";
+  if not (Float.is_finite spec.bin && spec.bin > 0.) then
+    bad "bin" "finite and positive";
+  if not (Float.is_finite spec.beta && spec.beta > 0.) then
+    bad "beta" "finite and positive";
+  if spec.chunk < 1 then bad "chunk" "at least 1"
+
 let run spec =
+  validate spec;
   if spec.materialized then materialize spec
   else
     let n_bins, levels, out = stream spec in

@@ -8,11 +8,12 @@
     10^8-event Poisson trace is analysed in O(levels x chunk) memory.
 
     Poisson generation is sharded: bin-aligned windows holding ~[chunk]
-    expected events each are generated [wave_width] at a time across the
-    {!Engine.Par} budget and folded into the sink in shard order. Shard
-    RNG streams come from [Task.derive_rng ~seed "stream#c"], and the
-    wave width is a constant, so stdout is byte-identical at any
-    [--jobs]. Because every {!Timeseries.Counts.default_levels} level is
+    expected events each are generated one after another and folded into
+    the sink in shard order, each from its own
+    [Task.derive_rng ~seed "stream#c"] stream. (Process-parallel Poisson
+    analysis is [wanpoisson farm]; this driver stays for the renewal
+    models, which cannot be cut into shards.) Because every
+    {!Timeseries.Counts.default_levels} level is
     registered in the pyramid up front, the streamed variance-time (and
     R/S) estimates match the materialized ones on the same sample path
     to rounding — the pyramid's decomposed subscribers sum block
@@ -66,7 +67,8 @@ type result = {
 }
 
 val run : spec -> result
-(** Raises [Invalid_argument] on an unknown [model]. The onoff model's
+(** Raises [Invalid_argument] on an unknown [model], or naming the
+    option on a non-finite or out-of-range field. The onoff model's
     streaming and materialized paths are different (equally valid) sample
     paths — the streaming path gives each source a split RNG sub-stream;
     the other models agree bit for bit. *)

@@ -37,6 +37,10 @@ module Wr = struct
       invalid_arg (Printf.sprintf "Frame.Wr.str: %d bytes (limit 65535)" n);
     u16 b n;
     Buffer.add_string b s
+
+  let blob b s =
+    u32 b (String.length s);
+    Buffer.add_string b s
 end
 
 module Rd = struct
@@ -83,6 +87,13 @@ module Rd = struct
   let str c =
     let n = u16 c in
     need c n "str";
+    let v = String.sub c.s c.pos n in
+    c.pos <- c.pos + n;
+    v
+
+  let blob c =
+    let n = u32 c in
+    need c n "blob";
     let v = String.sub c.s c.pos n in
     c.pos <- c.pos + n;
     v

@@ -1,9 +1,8 @@
-(** Length-prefixed binary frames for the multi-process trace farm.
+(** Length-prefixed binary frames for multi-process jobs.
 
-    A farm worker ships its analysis partials (pyramid snapshots, tail
-    top-k arrays, telemetry counter rollups, a final done summary) back
-    to the coordinator over a pipe. The wire format is a self-delimiting
-    frame:
+    A {!Job} worker ships its unit partials, counter rollups and a final
+    done summary back to the coordinator over a pipe. The wire format is
+    a self-delimiting frame:
 
     {v
       magic   2 bytes  "PF"
@@ -80,6 +79,10 @@ module Wr : sig
   val str : Buffer.t -> string -> unit
   (** [u16] length prefix + bytes; raises [Invalid_argument] past
       65535 bytes. *)
+
+  val blob : Buffer.t -> string -> unit
+  (** [u32] length prefix + bytes, for nested codecs (snapshots,
+      sketches) of unbounded size. *)
 end
 
 module Rd : sig
@@ -96,5 +99,6 @@ module Rd : sig
   val i64 : cursor -> int
   val f64 : cursor -> float
   val str : cursor -> string
+  val blob : cursor -> string
   val at_end : cursor -> bool
 end

@@ -18,8 +18,8 @@
       line, and a missed-heartbeat deadline is how the coordinator
       distinguishes a stalled worker from a slow one.
 
-    Kinds 16+ are reserved for observability so analysis kinds (1..4 in
-    [Core.Farm], and future ones) never collide; {!is_obs} is the
+    Kinds 16+ are reserved for observability so analysis kinds (1..3 in
+    {!Job}, and future ones) never collide; {!is_obs} is the
     coordinator's consume-don't-merge test. Decoding is total and
     bounds-checked: length fields are capped before any allocation. *)
 

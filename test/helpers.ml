@@ -14,6 +14,11 @@ let check_int name expected actual = Alcotest.(check int) name expected actual
 
 let tc name f = Alcotest.test_case name `Quick f
 
+let contains s needle =
+  let n = String.length needle in
+  let rec go i = i + n <= String.length s && (String.sub s i n = needle || go (i + 1)) in
+  go 0
+
 let prop ?(count = 200) name gen law =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen law)
 

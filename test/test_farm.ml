@@ -218,9 +218,8 @@ let test_plan () =
   check_int "gen bins" 8 p.Core.Farm.gen_bins;
   check_int "macro bins" 8 p.Core.Farm.macro_bins;
   check_int "macro count" 13 p.Core.Farm.n_macro;
-  (* The grid depends on the spec only — never on the worker count. *)
-  let p64 = Core.Farm.plan { small_spec with workers = 64 } in
-  check_true "worker-count independent" (p = p64);
+  (* The grid is the job's unit count; workers are a runner option. *)
+  check_int "job units = macro count" 13 (Core.Farm.job.units small_spec);
   List.iter
     (fun model ->
       match Core.Farm.plan { small_spec with model } with
@@ -228,9 +227,26 @@ let test_plan () =
       | _ -> Alcotest.failf "model %s accepted" model)
     [ "pareto"; "mginf"; "onoff"; "nonsense" ]
 
+let test_farm_rejects_non_finite () =
+  let rejects name flag f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument m ->
+      check_true (name ^ " names " ^ flag) (contains m flag)
+  in
+  let plan f () = Core.Farm.plan (f small_spec) in
+  rejects "rate nan" "--rate" (plan (fun s -> { s with rate = nan }));
+  rejects "events nan" "--events" (plan (fun s -> { s with events = nan }));
+  rejects "bin inf" "--bin" (plan (fun s -> { s with bin = infinity }));
+  (* Runner options are checked before any worker spawns. *)
+  rejects "heartbeat nan" "--heartbeat" (fun () ->
+      Engine.Job.run Core.Farm.job ~exe:"/nonexistent"
+        { Engine.Job.default_options with heartbeat_s = nan }
+        small_spec)
+
 let test_inline_deterministic () =
-  let a = Core.Farm.run_inline small_spec in
-  let b = Core.Farm.run_inline small_spec in
+  let a = Engine.Job.run_inline Core.Farm.job small_spec in
+  let b = Engine.Job.run_inline Core.Farm.job small_spec in
   check_result_equal a b;
   (* Sanity of the read-outs for a Poisson stream: total within 2% of
      the expectation, mean/bin near rate * bin, H near 1/2. *)
@@ -244,33 +260,77 @@ let test_inline_deterministic () =
 let wanpoisson_exe =
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/wanpoisson.exe"
 
+let run_farm options = Engine.Job.run Core.Farm.job ~exe:wanpoisson_exe options small_spec
+let opts = Engine.Job.default_options
+
 let test_farm_process_equals_inline () =
-  let inline = Core.Farm.run_inline small_spec in
+  let inline = Engine.Job.run_inline Core.Farm.job small_spec in
   List.iter
     (fun workers ->
-      match
-        Core.Farm.run ~exe:wanpoisson_exe { small_spec with workers }
-      with
+      match run_farm { opts with workers } with
       | Error e -> Alcotest.failf "workers=%d: %s" workers e
       | Ok (r, _obs) -> check_result_equal inline r)
     [ 1; 2; 5 ]
 
 let test_farm_crash_detected () =
-  match
-    Core.Farm.run ~exe:wanpoisson_exe
-      { small_spec with workers = 3; inject_crash = 1 }
-  with
+  match run_farm { opts with workers = 3; inject_crash = 1 } with
   | Ok _ -> Alcotest.fail "crashed worker went unnoticed"
   | Error e ->
-    let mentions needle =
-      let rec go i =
-        i + String.length needle <= String.length e
-        && (String.sub e i (String.length needle) = needle || go (i + 1))
-      in
-      go 0
-    in
-    check_true "names the worker" (mentions "worker 1");
-    check_true "names the signal" (mentions "SIGKILL")
+    check_true "names the worker" (contains e "worker 1");
+    check_true "names the signal" (contains e "SIGKILL")
+
+(* ---------------- the one partial codec, for both jobs ---------------- *)
+
+(* Every single-bit flip of an encoded partial is rejected, every strict
+   prefix is Truncated, the round trip re-encodes to the same bytes, and
+   placing partials on the unit grid names the bad unit. test_netsim.ml
+   runs the same checks for netsim. *)
+let check_partial_codec (type s p r) (job : (s, p, r) Engine.Job.t) (spec : s) =
+  let units = job.units spec in
+  let part u = job.compute spec ~tick:(fun ~events:_ -> ()) u in
+  let p0 = part 0 in
+  let wire = Engine.Frame.encode (Engine.Job.partial_frame job 0 p0) in
+  (match Engine.Frame.decode wire 0 with
+  | Ok (f, _) -> (
+    match Engine.Job.decode_partial job f with
+    | Ok (0, p) ->
+      check_true "round trip re-encodes identically"
+        (Engine.Frame.encode (Engine.Job.partial_frame job 0 p) = wire)
+    | Ok (u, _) -> Alcotest.failf "decoded unit %d" u
+    | Error e -> Alcotest.fail e)
+  | Error e -> Alcotest.fail (Engine.Frame.error_to_string e));
+  for pos = 0 to String.length wire - 1 do
+    for bit = 0 to 7 do
+      let b = Bytes.of_string wire in
+      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
+      match Engine.Frame.decode (Bytes.to_string b) 0 with
+      | Error _ -> ()
+      | Ok (f, _) -> (
+        match Engine.Job.decode_partial job f with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.failf "%s: flip of byte %d bit %d accepted" job.name pos bit)
+    done
+  done;
+  for len = 0 to String.length wire - 1 do
+    match Engine.Frame.decode (String.sub wire 0 len) 0 with
+    | Error Engine.Frame.Truncated -> ()
+    | _ -> Alcotest.failf "%s: prefix of %d bytes not Truncated" job.name len
+  done;
+  let all = List.init units (fun u -> (u, if u = 0 then p0 else part u)) in
+  let fails name needle pairs =
+    match Engine.Job.collect job ~units pairs with
+    | Ok _ -> Alcotest.failf "%s: %s accepted" job.name name
+    | Error e -> check_true (name ^ " names the unit: " ^ e) (contains e needle)
+  in
+  check_true "complete grid collects"
+    (Result.is_ok (Engine.Job.collect job ~units all));
+  fails "out of range" (Printf.sprintf "%s %d" job.unit_name units)
+    ((units, p0) :: all);
+  fails "duplicate" (Printf.sprintf "%s 0" job.unit_name) (all @ [ (0, p0) ]);
+  fails "missing" (Printf.sprintf "%s 1" job.unit_name)
+    (List.filter (fun (u, _) -> u <> 1) all)
+
+let test_codec_farm () = check_partial_codec Core.Farm.job small_spec
 
 (* ---------------- observability frames (PR 9) ---------------- *)
 
@@ -377,24 +437,14 @@ let test_obs_frame_corruption () =
 
 let test_farm_stall_detected () =
   match
-    Core.Farm.run ~exe:wanpoisson_exe
-      { small_spec with
-        workers = 2;
-        inject_stall = 1;
-        heartbeat_s = 0.1;
+    run_farm
+      { opts with workers = 2; inject_stall = 1; heartbeat_s = 0.1;
         stall_timeout_s = 0.8 }
   with
   | Ok _ -> Alcotest.fail "stalled worker went unnoticed"
   | Error e ->
-    let mentions needle =
-      let rec go i =
-        i + String.length needle <= String.length e
-        && (String.sub e i (String.length needle) = needle || go (i + 1))
-      in
-      go 0
-    in
-    check_true "names the worker" (mentions "worker 1");
-    check_true "calls it stalled" (mentions "stalled")
+    check_true "names the worker" (contains e "worker 1");
+    check_true "calls it stalled" (contains e "stalled")
 
 let test_farm_trace_merge () =
   Engine.Telemetry.set_enabled true;
@@ -404,25 +454,20 @@ let test_farm_trace_merge () =
       Engine.Telemetry.reset ();
       Engine.Telemetry.set_enabled false)
     (fun () ->
-      match
-        Core.Farm.run ~exe:wanpoisson_exe
-          { small_spec with workers = 3; trace = true; metrics = true }
-      with
+      match run_farm { opts with workers = 3; trace = true; metrics = true } with
       | Error e -> Alcotest.fail e
       | Ok (_, obs) ->
-        check_int "one span table per worker" 3
-          (List.length obs.Core.Farm.o_spans);
+        check_int "one span table per worker" 3 (List.length obs.o_spans);
         check_int "one counter rollup per worker" 3
-          (List.length obs.Core.Farm.o_counters);
-        check_int "one report per worker" 3
-          (List.length obs.Core.Farm.o_workers);
+          (List.length obs.o_counters);
+        check_int "one report per worker" 3 (List.length obs.o_workers);
         List.iter
-          (fun (w : Core.Farm.worker_report) ->
+          (fun (w : Engine.Job.worker_report) ->
             check_true "worker exited cleanly" (w.w_status = "exited 0");
             check_true "worker counted events" (w.w_events > 0);
-            check_true "worker ran shards" (w.w_shards > 0))
-          obs.Core.Farm.o_workers;
-        let lanes = Core.Farm.trace_processes obs in
+            check_true "worker ran shards" (w.w_units > 0))
+          obs.o_workers;
+        let lanes = Engine.Job.trace_processes obs in
         check_int "coordinator + one lane per worker" 4 (List.length lanes);
         check_true "coordinator lane first"
           ((List.hd lanes).Engine.Telemetry.pr_label = "coordinator");
@@ -440,16 +485,9 @@ let test_farm_trace_merge () =
         in
         check_int "balanced braces" (count '{') (count '}');
         check_int "balanced brackets" (count '[') (count ']');
-        let has needle =
-          let rec go i =
-            i + String.length needle <= String.length json
-            && (String.sub json i (String.length needle) = needle
-               || go (i + 1))
-          in
-          go 0
-        in
-        check_true "trace names worker 2" (has "\"worker 2\"");
-        check_true "trace names the coordinator" (has "\"coordinator\""))
+        check_true "trace names worker 2" (contains json "\"worker 2\"");
+        check_true "trace names the coordinator"
+          (contains json "\"coordinator\""))
 
 let test_manifest_farm_workers () =
   let rows =
@@ -489,14 +527,8 @@ let test_manifest_farm_workers () =
     Engine.Manifest.of_run ~created_at:0. ~seed:1 ~jobs:2 ~total_s:0.5 []
   in
   let text = Engine.Manifest.to_string plain in
-  let has needle =
-    let rec go i =
-      i + String.length needle <= String.length text
-      && (String.sub text i (String.length needle) = needle || go (i + 1))
-    in
-    go 0
-  in
-  check_true "no farm_workers key when empty" (not (has "farm_workers"));
+  check_true "no farm_workers key when empty"
+    (not (contains text "farm_workers"));
   (match Engine.Manifest.parse text with
   | Error e -> Alcotest.fail e
   | Ok p -> check_true "parses to empty" (p.Engine.Manifest.farm_workers = []));
@@ -523,10 +555,12 @@ let suite =
         test_snapshot_codec_merge_equals_inprocess;
       tc "snapshot codec rejects malformed input" test_snapshot_codec_rejects;
       tc "plan: fixed grid, poisson-only" test_plan;
+      tc "farm rejects non-finite input" test_farm_rejects_non_finite;
       tc "run_inline deterministic + sane" test_inline_deterministic;
       tc "farm processes = inline (workers 1/2/5)"
         test_farm_process_equals_inline;
       tc "killed worker detected" test_farm_crash_detected;
+      tc "job partial codec total (farm)" test_codec_farm;
       tc "obs frame round-trip (kinds 16/17/18)" test_obs_frame_roundtrip;
       tc "obs frame per-byte corruption rejected" test_obs_frame_corruption;
       tc "stalled worker detected via heartbeats" test_farm_stall_detected;

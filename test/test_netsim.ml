@@ -435,8 +435,7 @@ let test_mgk_sink_equals_simulate () =
 (* ---------------- Core.Netsim ---------------- *)
 
 let small_nspec =
-  {
-    Core.Netsim.default with
+  { Core.Netsim.default with
     events = 2e4;
     replicas = 3;
     sources = 8;
@@ -444,14 +443,13 @@ let small_nspec =
     discipline = "red";
     buffer = 8;
     chunk = 1024;
-    seed = 7;
-  }
+    seed = 7 }
 
 let render spec r =
   Format.asprintf "%a" (fun fmt r -> Core.Netsim.pp fmt spec r) r
 
 let test_netsim_spec_validation () =
-  let bad f = { small_nspec with workers = 1 } |> f in
+  let bad f = f small_nspec in
   check_invalid_arg "bad model" "netsim" (fun () ->
       Core.Netsim.plan (bad (fun s -> { s with Core.Netsim.model = "mginf" })));
   check_invalid_arg "bad topology" "netsim" (fun () ->
@@ -469,27 +467,63 @@ let test_netsim_spec_validation () =
   let p = Core.Netsim.plan small_nspec in
   check_int "fanin:2 has 3 links" 3 p.Core.Netsim.n_links
 
+let test_netsim_rejects_non_finite () =
+  let rejects name flag spec =
+    check_invalid_arg name "netsim" (fun () -> Core.Netsim.plan spec);
+    match Core.Netsim.plan spec with
+    | _ -> ()
+    | exception Invalid_argument m -> check_true (name ^ " names " ^ flag) (contains m flag)
+  in
+  rejects "on-rate inf" "on-rate" { small_nspec with on_rate = infinity };
+  rejects "mean-period inf" "mean-period" { small_nspec with mean_period = infinity };
+  rejects "rate inf" "rate" { small_nspec with model = "poisson"; rate = infinity };
+  rejects "events nan" "events" { small_nspec with events = nan }
+
 let test_netsim_inline_deterministic () =
-  let a = render small_nspec (Core.Netsim.run_inline small_nspec) in
-  let b = render small_nspec (Core.Netsim.run_inline small_nspec) in
-  check_true "two inline runs byte-identical" (a = b);
+  let inline spec = render spec (Engine.Job.run_inline Core.Netsim.job spec) in
+  let a = inline small_nspec in
+  check_true "two inline runs byte-identical" (a = inline small_nspec);
   check_true "nonempty report" (String.length a > 100);
-  let shifted = { small_nspec with Core.Netsim.seed = 8 } in
-  let c = render shifted (Core.Netsim.run_inline shifted) in
-  check_true "seed changes the report" (a <> c)
+  check_true "seed changes the report"
+    (a <> inline { small_nspec with Core.Netsim.seed = 8 })
+
+let run_netsim options =
+  Engine.Job.run Core.Netsim.job ~exe:wanpoisson_exe options
+    small_nspec
 
 let test_netsim_process_equals_inline () =
-  let inline = render small_nspec (Core.Netsim.run_inline small_nspec) in
+  let inline = render small_nspec (Engine.Job.run_inline Core.Netsim.job small_nspec) in
   List.iter
     (fun workers ->
-      let spec = { small_nspec with Core.Netsim.workers } in
-      match Core.Netsim.run ~exe:wanpoisson_exe spec with
+      match run_netsim { Engine.Job.default_options with workers } with
       | Error e -> Alcotest.failf "workers=%d: %s" workers e
-      | Ok r ->
+      | Ok (r, _) ->
         check_true
           (Printf.sprintf "workers=%d report = inline" workers)
           (render small_nspec r = inline))
     [ 1; 2; 5 ]
+
+(* Netsim workers get the runner's liveness checks with no netsim flag:
+   a killed worker and a wedged one both fail the run, naming it. *)
+let test_netsim_crash_detected () =
+  match
+    run_netsim { Engine.Job.default_options with workers = 3; inject_crash = 1 }
+  with
+  | Ok _ -> Alcotest.fail "crashed worker went unnoticed"
+  | Error e ->
+    check_true "names the worker" (contains e "worker 1");
+    check_true "names the signal" (contains e "SIGKILL")
+
+let test_netsim_stall_detected () =
+  match
+    run_netsim
+      { Engine.Job.default_options with
+        workers = 2; inject_stall = 1; heartbeat_s = 0.1; stall_timeout_s = 0.8 }
+  with
+  | Ok _ -> Alcotest.fail "stalled worker went unnoticed"
+  | Error e ->
+    check_true "names the worker" (contains e "worker 1");
+    check_true "calls it stalled" (contains e "stalled")
 
 let suite =
   ( "netsim",
@@ -517,7 +551,13 @@ let suite =
         test_mgk_sink_bounded_memory;
       tc "mgk sink = simulate, bit for bit" test_mgk_sink_equals_simulate;
       tc "netsim spec validation" test_netsim_spec_validation;
+      tc "netsim rejects non-finite input" test_netsim_rejects_non_finite;
       tc "netsim run_inline deterministic" test_netsim_inline_deterministic;
       tc "netsim processes = inline (workers 1/2/5)"
         test_netsim_process_equals_inline;
+      tc "job partial codec total (netsim)" (fun () ->
+          Test_farm.check_partial_codec Core.Netsim.job small_nspec);
+      tc "netsim killed worker detected" test_netsim_crash_detected;
+      tc "netsim stalled worker detected via heartbeats"
+        test_netsim_stall_detected;
     ] )

@@ -761,17 +761,18 @@ let run_stream spec =
   Format.pp_print_flush fmt ();
   (r, Buffer.contents buf)
 
-let test_stream_jobs_deterministic () =
-  let spec =
-    { Core.Streaming.default with events = 2e5; rate = 500.; seed = 4242 }
+let test_stream_rejects_non_finite () =
+  let rejects name flag spec =
+    match Core.Streaming.run spec with
+    | _ -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument m ->
+      check_true (name ^ " names " ^ flag) (contains m flag)
   in
-  let saved = Engine.Par.extra_domains () in
-  Engine.Par.set_extra_domains 0;
-  let _, seq = run_stream spec in
-  Engine.Par.set_extra_domains 3;
-  let _, par = run_stream spec in
-  Engine.Par.set_extra_domains saved;
-  check_true "byte-identical at any jobs" (String.equal seq par)
+  let d = Core.Streaming.default in
+  rejects "events nan" "--events" { d with events = nan };
+  rejects "rate nan" "--rate" { d with rate = nan };
+  rejects "bin inf" "--bin" { d with bin = infinity };
+  rejects "onoff beta nan" "--beta" { d with model = "onoff"; beta = nan }
 
 let test_stream_matches_materialized () =
   let spec =
@@ -853,8 +854,7 @@ let suite =
         test_rs_sink_bounded_memory_estimate;
       tc "fifo sink = simulate" test_fifo_sink_matches_simulate;
       tc "invalid-argument guards" test_invalid_argument_guards;
-      tc "stream driver byte-identical across jobs"
-        test_stream_jobs_deterministic;
+      tc "stream rejects non-finite input" test_stream_rejects_non_finite;
       tc "stream = materialized (1e6 events)" test_stream_matches_materialized;
       tc "stream resident memory O(chunk)" test_stream_chunk_memory;
     ] )
