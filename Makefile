@@ -5,7 +5,8 @@
 # smoke (streamed-vs-materialized agreement + the pyramid-vs-naive
 # variance-time speedup under the perf gate), the
 # live-analysis serve smoke (deterministic rolling estimates +
-# exactly one drift event on an injected regime change), and the
+# exactly one drift event on an injected regime change + stdin output
+# independent of --chunk + a quiet gap survived), and the
 # multi-process farm smoke (byte-identical stdout at any worker count,
 # crash detection, and the workers=1 no-slower-than-stream perf gate),
 # and the wavelet smoke (streamed-vs-batch logscale agreement, farm
@@ -116,6 +117,14 @@ stream-smoke:
 SERVE_SMOKE_FLAGS = --events 2e5 --rate 100 --window 256 --cadence 64 \
   --seed 42 --h-threshold 0.4 --rate-threshold 1e9 --alpha-threshold 1e9
 
+# The stdin leg: a 2e5-event Poisson trace written by awk must give the
+# same bytes at --chunk 1000 as at the default, because bins reach the
+# window at estimate boundaries whatever the buffer size; and a quiet
+# gap longer than the window must print a null H and exit 0.
+SERVE_STDIN_TRACE = awk 'BEGIN { srand(7); t = 0; \
+  for (i = 0; i < 200000; i++) { t += -log(1 - rand()) / 100; \
+  printf "%.6f\n", t } }'
+
 serve-smoke:
 	dune exec bin/wanpoisson.exe -- serve $(SERVE_SMOKE_FLAGS) \
 	  2>/dev/null > _build/serve_smoke_a.txt
@@ -128,8 +137,19 @@ serve-smoke:
 	dune exec bin/wanpoisson.exe -- serve --source poisson \
 	  $(SERVE_SMOKE_FLAGS) 2>/dev/null > _build/serve_smoke_stat.txt
 	! grep -q '"type":"drift"' _build/serve_smoke_stat.txt
+	$(SERVE_STDIN_TRACE) > _build/serve_stdin.txt
+	dune exec bin/wanpoisson.exe -- serve --source stdin --bin 0.01 \
+	  < _build/serve_stdin.txt 2>/dev/null > _build/serve_stdin_a.txt
+	dune exec bin/wanpoisson.exe -- serve --source stdin --bin 0.01 \
+	  --chunk 1000 < _build/serve_stdin.txt 2>/dev/null \
+	  > _build/serve_stdin_b.txt
+	diff _build/serve_stdin_a.txt _build/serve_stdin_b.txt
+	printf '0.5\n600\n' | dune exec bin/wanpoisson.exe -- serve \
+	  --source stdin --bin 1 2>/dev/null > _build/serve_stdin_quiet.txt
+	grep -q '"h":null' _build/serve_stdin_quiet.txt
 	@echo "serve-smoke: deterministic output, one drift on the splice,"
-	@echo "serve-smoke: quiet on the stationary stream"
+	@echo "serve-smoke: quiet on the stationary stream; stdin output"
+	@echo "serve-smoke: independent of --chunk, a quiet gap survived"
 
 # The multi-process farm end to end. The macro-shard grid and the
 # shard-order merge depend only on the spec, never the worker count,

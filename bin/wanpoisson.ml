@@ -875,8 +875,9 @@ let serve_cmd =
                  ON/OFF), poisson, onoff, diurnal (Poisson under the \
                  paper's Fig. 1 WWW hourly rate envelope — watch the \
                  rolling variance-time H inflate while Hw holds), or \
-                 stdin (newline-separated \
-                 non-decreasing event times)")
+                 stdin (newline-separated non-decreasing event \
+                 times; each estimate is written as soon as the event \
+                 closing its last bin is read)")
   in
   let events_arg =
     Arg.(value & opt float 1e6 & info [ "events" ] ~docv:"N"
@@ -896,7 +897,10 @@ let serve_cmd =
   in
   let chunk_arg =
     Arg.(value & opt int 65536 & info [ "chunk" ] ~docv:"N"
-           ~doc:"Count-buffer size in bins (default 65536)")
+           ~doc:"Count-buffer size in bins for the generated sources \
+                 (default 65536). The stdin source ignores it: it hands \
+                 bins to the window at each estimate boundary, so its \
+                 output does not depend on the buffer")
   in
   let seed_arg =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED"

@@ -143,57 +143,179 @@ let observe_monitors fmt spec mons drifts (e : Streaming.Window.estimate) =
 
 (* ------------------------- count sources --------------------------- *)
 
+(* The stdin scanner skips blank lines and [#] comments and ignores the
+   whitespace [String.trim] strips (space, tab, CR, LF, form feed). *)
+let is_blank c = c = ' ' || c = '\t' || c = '\r' || c = '\n' || c = '\012'
+
+(* 10^k for k <= 15, each exactly representable. *)
+let pow10 =
+  [| 1.; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12;
+     1e13; 1e14; 1e15 |]
+
+(* Parse the trimmed text [b.[lo, hi)] into [out.(0)]; false when it is
+   not a float. A plain decimal of at most 15 digits and one '.' is
+   [m / 10^k] with [m] and [10^k] both exact, and IEEE division rounds
+   that quotient correctly, so this fast path is bit-equal to [strtod]
+   and allocates nothing. Anything else (signs, exponents, hex, '_',
+   nan, inf) goes to [float_of_string_opt], which keeps its syntax. *)
+let parse_into b lo hi out =
+  let m = ref 0 and digits = ref 0 and frac = ref (-1) in
+  let plain = ref true and i = ref lo in
+  while !plain && !i < hi do
+    let c = Bytes.unsafe_get b !i in
+    if c >= '0' && c <= '9' then begin
+      m := (!m * 10) + (Char.code c - 48);
+      incr digits;
+      if !frac >= 0 then incr frac
+    end
+    else if c = '.' && !frac < 0 then frac := 0
+    else plain := false;
+    incr i
+  done;
+  if !plain && !digits >= 1 && !digits <= 15 then begin
+    out.(0) <- float_of_int !m /. pow10.(Int.max 0 !frac);
+    true
+  end
+  else
+    match float_of_string_opt (Bytes.sub_string b lo (hi - lo)) with
+    | Some t ->
+      out.(0) <- t;
+      true
+    | None -> false
+
+let parse_time s =
+  let out = [| nan |] in
+  if parse_into (Bytes.unsafe_of_string s) 0 (String.length s) out then
+    Some out.(0)
+  else None
+
+(* Bytes per [input] call; lines straddling two blocks are carried. *)
+let block_size = 65536
+
+(* The most bins handed to the window at once. A power of two, like
+   every emit period, so capping a handoff at it only adds cuts the
+   default 65536-bin buffer always made. *)
+let max_handoff = 65536
+
 (* Incremental event-time binner for unbounded stdin streams:
-   [Sink.counts] needs the horizon up front, this does not. The trailing
-   partial bin is emitted, so every event lands in some bin. *)
-let bin_stdin ?ia ~bin ~chunk push_counts ic =
-  let buf = Array.make (Int.max 1 chunk) 0. in
-  let fill = ref 0 and cur = ref 0 and cnt = ref 0. in
-  let last = ref neg_infinity in
-  let seen = ref false in
-  let prev_t = ref nan in
-  let emit_bin () =
-    buf.(!fill) <- !cnt;
+   [Sink.counts] needs the horizon up front, this does not. Closed bins
+   go to [push_counts] each time they reach a multiple of [period], the
+   window's estimate boundary, so every estimate is written as soon as
+   its last bin closes. Never at a read boundary: pyramid moment merges
+   round by slice edge (~1 ulp), and stdout would then depend on pipe
+   timing. The trailing partial bin is emitted, so every event lands in
+   some bin. *)
+let bin_stdin ?ia ~bin ~period push_counts ic =
+  let buf = Array.make (Int.min period max_handoff) 0. in
+  let size = Array.length buf in
+  let fill = ref 0 and cur = ref 0 and cnt = ref 0 in
+  let events = ref 0 and lineno = ref 0 in
+  (* Float state sits in float arrays, which store unboxed, so the
+     per-event path allocates nothing; inter-arrivals reach the sketch
+     in batches through [add_slice], which builds the same sketch. *)
+  let parsed = [| 0. |] and last = [| neg_infinity |] in
+  let gaps = Array.make 4096 0. and n_gaps = ref 0 in
+  let flush_gaps () =
+    Option.iter (fun sk -> Stats.Quantile_sketch.add_slice sk gaps 0 !n_gaps) ia;
+    n_gaps := 0
+  in
+  let hand_off () =
+    push_counts buf 0 !fill;
+    fill := 0
+  in
+  (* Close bins [!cur, i): the open bin's count, then the empty gap in
+     zero runs that stop at each handoff. *)
+  let close_until i =
+    buf.(!fill) <- float_of_int !cnt;
     incr fill;
-    cnt := 0.;
-    if !fill = Array.length buf then begin
-      push_counts buf 0 !fill;
-      fill := 0
+    cnt := 0;
+    if !fill = size then hand_off ();
+    let gap = ref (i - !cur - 1) in
+    while !gap > 0 do
+      let run = Int.min !gap (size - !fill) in
+      Array.fill buf !fill run 0.;
+      fill := !fill + run;
+      gap := !gap - run;
+      if !fill = size then hand_off ()
+    done;
+    cur := i
+  in
+  let reject b lo hi why =
+    invalid_arg
+      (Printf.sprintf "serve: line %d: event time %S %s" !lineno
+         (Bytes.sub_string b lo (hi - lo))
+         why)
+  in
+  let line b lo hi =
+    incr lineno;
+    let lo = ref lo and hi = ref hi in
+    while !lo < !hi && is_blank (Bytes.unsafe_get b !lo) do
+      incr lo
+    done;
+    while !hi > !lo && is_blank (Bytes.unsafe_get b (!hi - 1)) do
+      decr hi
+    done;
+    let lo = !lo and hi = !hi in
+    if lo < hi && Bytes.get b lo <> '#' then begin
+      if not (parse_into b lo hi parsed) then
+        reject b lo hi "does not parse as a number";
+      let t = parsed.(0) in
+      if Float.is_nan t then reject b lo hi "is NaN";
+      if not (Float.is_finite t) then reject b lo hi "is not finite";
+      if t < 0. then reject b lo hi "is negative";
+      if t < last.(0) then
+        reject b lo hi
+          (Printf.sprintf
+             "is before the previous time %s (times must be non-decreasing)"
+             (Float.to_string last.(0)));
+      let x = t /. bin in
+      if not (x < 0x1p53) then
+        reject b lo hi
+          (Printf.sprintf "has bin index time / bin = %g, not below 2^53" x);
+      if Option.is_some ia && !events > 0 then begin
+        gaps.(!n_gaps) <- t -. last.(0);
+        incr n_gaps;
+        if !n_gaps = Array.length gaps then flush_gaps ()
+      end;
+      last.(0) <- t;
+      incr events;
+      let i = int_of_float x in
+      if i > !cur then close_until i;
+      incr cnt
     end
   in
-  let on_event t =
-    if t < !last then
-      invalid_arg
-        (Printf.sprintf
-           "serve: event times must be non-decreasing (%g after %g)" t !last);
-    last := t;
-    if t >= 0. then begin
-      seen := true;
-      (match ia with
-      | Some sk when not (Float.is_nan !prev_t) ->
-        Stats.Quantile_sketch.add sk (t -. !prev_t)
-      | _ -> ());
-      prev_t := t;
-      let i = int_of_float (t /. bin) in
-      while !cur < i do
-        emit_bin ();
-        incr cur
-      done;
-      cnt := !cnt +. 1.
-    end
+  let blk = Bytes.create block_size in
+  let carry = ref (Bytes.create 256) and clen = ref 0 in
+  let keep lo len =
+    if !clen + len > Bytes.length !carry then begin
+      let c = Bytes.create (2 * (!clen + len)) in
+      Bytes.blit !carry 0 c 0 !clen;
+      carry := c
+    end;
+    Bytes.blit blk lo !carry !clen len;
+    clen := !clen + len
   in
-  (try
-     while true do
-       let line = String.trim (input_line ic) in
-       if line <> "" && line.[0] <> '#' then
-         match float_of_string_opt line with
-         | Some t -> on_event t
-         | None ->
-           invalid_arg (Printf.sprintf "serve: bad event time %S" line)
-     done
-   with End_of_file -> ());
-  if !seen then emit_bin ();
-  if !fill > 0 then push_counts buf 0 !fill
+  let n = ref (input ic blk 0 block_size) in
+  while !n > 0 do
+    let start = ref 0 in
+    for i = 0 to !n - 1 do
+      if Bytes.unsafe_get blk i = '\n' then begin
+        if !clen = 0 then line blk !start i
+        else begin
+          keep !start (i - !start);
+          line !carry 0 !clen;
+          clen := 0
+        end;
+        start := i + 1
+      end
+    done;
+    keep !start (!n - !start);
+    n := input ic blk 0 block_size
+  done;
+  if !clen > 0 then line !carry 0 !clen;
+  flush_gaps ();
+  if !events > 0 then close_until (!cur + 1);
+  if !fill > 0 then hand_off ()
 
 let poisson_counts ~rate ~bin ~chunk ~n_bins rng push_counts =
   let d = Dist.Poisson_d.create ~mean:(rate *. bin) in
@@ -266,10 +388,10 @@ let diurnal_counts spec ~n_bins rng push_counts =
 let n_bins_of spec =
   Int.max 1 (int_of_float (Float.round (spec.events /. spec.rate /. spec.bin)))
 
-let feed ?ia spec push_counts =
+let feed ?ia ~ic ~period spec push_counts =
   let rng tag = Engine.Task.derive_rng ~seed:spec.seed ("serve" ^ tag) in
   match spec.source with
-  | "stdin" -> bin_stdin ?ia ~bin:spec.bin ~chunk:spec.chunk push_counts stdin
+  | "stdin" -> bin_stdin ?ia ~bin:spec.bin ~period push_counts ic
   | "poisson" ->
     poisson_counts ~rate:spec.rate ~bin:spec.bin ~chunk:spec.chunk
       ~n_bins:(n_bins_of spec) (rng "") push_counts
@@ -289,7 +411,7 @@ let feed ?ia spec push_counts =
       (Printf.sprintf
          "serve: unknown source %S (want splice|poisson|onoff|diurnal|stdin)" s)
 
-let run ?(fmt = Format.std_formatter) spec =
+let run ?(fmt = Format.std_formatter) ?(ic = stdin) spec =
   let mons = make_monitors spec in
   let drifts = ref 0 in
   let estimates = ref 0 in
@@ -311,7 +433,7 @@ let run ?(fmt = Format.std_formatter) spec =
     if spec.source = "stdin" then Some (Stats.Quantile_sketch.create ())
     else None
   in
-  feed ?ia spec (fun buf pos len ->
+  feed ?ia ~ic ~period:(Streaming.Window.period win) spec (fun buf pos len ->
       for i = pos to pos + len - 1 do
         total := !total +. buf.(i)
       done;

@@ -23,8 +23,12 @@
       the live demonstration of why the logscale diagram is the
       estimator to trust under nonstationarity;
     - ["stdin"]: newline-separated non-decreasing event times (blank
-      lines and [#] comments skipped), binned incrementally with no
-      horizon needed up front.
+      lines and [#] comments skipped, surrounding whitespace and CR
+      ignored), binned incrementally with no horizon needed up front.
+      Closed bins reach the window at each estimate boundary, so an
+      estimate is written as soon as the event that closes its last bin
+      is read. The scanner reads 64 KiB blocks and parses plain
+      decimals without allocating.
 
     Every estimate record also carries rolling per-bin count quantiles
     ([q50]/[q99]/[q999]) read from the window panes'
@@ -41,7 +45,10 @@ type spec = {
   rate : float;  (** events per time unit *)
   bin : float;  (** bin width (s) *)
   beta : float;  (** Pareto shape for the ON/OFF source *)
-  chunk : int;  (** count-buffer size *)
+  chunk : int;
+      (** count-buffer size for the generated sources; the stdin source
+          hands bins over at estimate boundaries instead, so its output
+          does not depend on it *)
   seed : int;
   window : int;  (** window size in bins (rounded up to a power of 2) *)
   cadence : int;  (** bins between rolling estimates *)
@@ -73,8 +80,22 @@ type summary = {
           one inter-arrival was observed. *)
 }
 
-val run : ?fmt:Format.formatter -> spec -> summary
+val run : ?fmt:Format.formatter -> ?ic:in_channel -> spec -> summary
 (** Stream, estimate, detect; returns the end-of-stream summary (also
-    printed as the final output record). Raises [Invalid_argument] on an
-    unknown [source], a malformed or non-monotone stdin event time, or
-    window parameters {!Streaming.Window.create} rejects. *)
+    printed as the final output record). The ["stdin"] source reads
+    [ic] (default [stdin]).
+
+    Raises [Invalid_argument] on an unknown [source] or window
+    parameters {!Streaming.Window.create} rejects, and on a stdin event
+    time that does not parse, is NaN, infinite or negative, is earlier
+    than the time before it, or whose bin index [time / bin] is at
+    least 2^53. Stdin errors read
+    [serve: line N: event time "TEXT" REASON], with [N] counting every
+    line from 1; the estimates before the bad line have already been
+    printed. *)
+
+val parse_time : string -> float option
+(** The stdin scanner's parse of one trimmed line: a plain decimal of at
+    most 15 digits and one ['.'] is read exactly, without allocating;
+    anything else goes to [float_of_string_opt]. Either way the result
+    is bit-equal to [float_of_string_opt]. *)

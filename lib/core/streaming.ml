@@ -394,6 +394,7 @@ module Window = struct
 
   let window t = t.window
   let cadence t = t.cadence
+  let period t = match t.kind with Sliding -> t.cadence | Tumbling -> t.window
   let bins t = t.total
 
   let pane_offer p v =
@@ -447,12 +448,32 @@ module Window = struct
     let rec go m acc = if m > covered / 8 then List.rev acc else go (2 * m) (m :: acc) in
     go 1 []
 
+  (* Variance-time H, or nan (like [hw]) when the window cannot support
+     a fit: too shallow, no events (no mean to normalise by), or fewer
+     than two levels with positive variance (constant or periodic
+     counts). A quiet or regular stretch must not end the stream. *)
+  let vt_hurst levels pyr =
+    let none = { Lrd.Hurst.h = nan; slope = nan; r2 = nan } in
+    if List.length levels < 3 || Timeseries.Pyramid.mean pyr = 0. then none
+    else
+      let curve = Timeseries.Variance_time.curve_of_pyramid ~levels pyr in
+      let varying =
+        Array.fold_left
+          (fun n p -> if p.Timeseries.Variance_time.normalised > 0. then n + 1 else n)
+          0 curve
+      in
+      if varying < 2 then none
+      else
+        let fit = Timeseries.Variance_time.slope curve in
+        {
+          Lrd.Hurst.h = Timeseries.Variance_time.hurst_of_slope fit.slope;
+          slope = fit.slope;
+          r2 = fit.r2;
+        }
+
   let estimate_of t pyr tops sketch covered =
     let levels = vt_levels covered in
-    let h =
-      if List.length levels < 3 then { Lrd.Hurst.h = nan; slope = nan; r2 = nan }
-      else Lrd.Hurst.variance_time_of_pyramid ~levels pyr
-    in
+    let h = vt_hurst levels pyr in
     t.seq <- t.seq + 1;
     let q = Stats.Quantile_sketch.quantile sketch in
     {

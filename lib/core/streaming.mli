@@ -105,7 +105,9 @@ module Window : sig
     covered : int;  (** Bins the estimate covers (ending at [upto]). *)
     h : Lrd.Hurst.estimate;
         (** Variance-time Hurst over the window's dyadic ladder
-            ([nan] when the window is too shallow for 3 levels). *)
+            ([nan] when the window is too shallow for 3 levels, holds
+            no events, or has fewer than 2 levels with positive
+            variance). *)
     hw : float;
         (** Rolling Abry-Veitch wavelet H over the same merged window
             pyramid ([nan] when too few octaves) — the estimator that
@@ -152,6 +154,13 @@ module Window : sig
   (** The effective (rounded) pane size. *)
 
   val cadence : t -> int
+
+  val period : t -> int
+  (** Bins between estimates: [cadence] when sliding, [window] when
+      tumbling. [push_slice] cuts every slice at these boundaries, so
+      handing bins over exactly at them gives the window the same
+      pyramid pushes — and bit-identical estimates — as any larger
+      slices whose edges fall on them. *)
 
   val bins : t -> int
   (** Total bins consumed. *)
